@@ -17,6 +17,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/analyzer.h"
@@ -107,6 +108,13 @@ int main(int argc, char** argv) {
   json.kv("trials", trials);
   json.kv("seed", seed);
   json.kv("certify_sample", certify_sample);
+  json.key("build");
+  json.begin_object();
+  json.kv("rtpool_build_type", RTPOOL_BUILD_TYPE);
+  json.kv("compiler", RTPOOL_COMPILER);
+  json.kv("nproc",
+          static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  json.end_object();
   json.key("points");
   json.begin_array();
 
@@ -186,8 +194,8 @@ int main(int argc, char** argv) {
   json.end_array();
 
   // Sensitivity search timings: the legacy generic path (scaled TaskSet
-  // copy per probe) vs the fast analyzer-driven path (one RtaContext, warm
-  // starts, critical-path cutoffs) on a small fixed suite. The *factors*
+  // copy per probe) vs the fast analyzer-driven path (one RtaContext,
+  // critical-path cutoffs) on a small fixed suite. The *factors*
   // must agree within the bisection tolerance — that check is folded into
   // the exit gate (a value-agreement gate, never a wall-time one).
   {
@@ -195,7 +203,6 @@ int main(int argc, char** argv) {
     const double tol = analysis::SensitivityOptions{}.tolerance;
     double legacy_wall = 0.0, fast_wall = 0.0, part_wall = 0.0;
     double max_delta = 0.0;
-    std::size_t warm_hits = 0;
     int cutoff_probes = 0;
     bool agree = true;
 
@@ -225,7 +232,6 @@ int main(int argc, char** argv) {
       auto t2 = std::chrono::steady_clock::now();
       legacy_wall += std::chrono::duration<double>(t1 - t0).count();
       fast_wall += std::chrono::duration<double>(t2 - t1).count();
-      warm_hits += fast.warm_hits;
       cutoff_probes += fast.cutoff_probes;
       const double delta = std::abs(fast.factor - legacy);
       max_delta = std::max(max_delta, delta);
@@ -241,7 +247,6 @@ int main(int argc, char** argv) {
         part_wall += std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - t3)
                          .count();
-        warm_hits += pfast.warm_hits;
         cutoff_probes += pfast.cutoff_probes;
       }
     }
@@ -253,7 +258,6 @@ int main(int argc, char** argv) {
     json.kv("global_fast_wall_s", fast_wall);
     json.kv("global_speedup", fast_wall > 0.0 ? legacy_wall / fast_wall : 0.0);
     json.kv("partitioned_fast_wall_s", part_wall);
-    json.kv("warm_hits", static_cast<std::uint64_t>(warm_hits));
     json.kv("cutoff_probes", static_cast<std::uint64_t>(cutoff_probes));
     json.kv("max_factor_delta", max_delta);
     json.kv("factors_agree", agree);
@@ -268,26 +272,23 @@ int main(int argc, char** argv) {
   }
 
   // Admission latency: request-to-verdict time of the online mode-change
-  // controller over seeded admit/evict/resize streams, at three tiers —
-  // incremental (snapshots + warm seed, the default), warm-only
-  // (incremental off), and the independent cold re-analysis of every
-  // proposal. The wall times are informational; `verdicts_agree` (the
-  // incremental tier must be bit-identical to cold) is folded into the
-  // exit gate — again a value gate, never a time gate.
+  // controller over seeded admit/evict/resize streams, at two tiers — the
+  // controller's incremental re-analysis against the committed mode's
+  // snapshots, and the independent cold re-analysis of every proposal. The
+  // wall times are informational; `verdicts_agree` (the incremental tier
+  // must be bit-identical to cold) is folded into the exit gate — again a
+  // value gate, never a time gate.
   {
     const int admission_streams = 3;
     const int admission_steps = 12;
-    double incremental_wall = 0.0, warm_wall = 0.0, cold_wall = 0.0;
-    std::size_t requests = 0, committed = 0, rejected = 0;
-    std::size_t warm_seeded = 0, warm_hits = 0, verified = 0;
+    double incremental_wall = 0.0, cold_wall = 0.0;
+    std::size_t requests = 0, committed = 0, rejected = 0, verified = 0;
     std::size_t incremental_hits = 0, incremental_prefix = 0;
     bool agree = true;
 
-    exec::ModeChangeConfig config;  // warm + incremental: the default mode
+    exec::ModeChangeConfig config;
     config.analyzer = "global-limited";
     config.cores = 8;
-    exec::ModeChangeConfig warm_only = config;
-    warm_only.incremental = false;
     for (int k = 0; k < admission_streams; ++k) {
       exp::ElasticScenarioParams params;
       params.steps = admission_steps;
@@ -301,18 +302,9 @@ int main(int argc, char** argv) {
       incremental_hits += replay.incremental_hits;
       incremental_prefix += replay.incremental_prefix;
       verified += replay.verified;
-      incremental_wall += replay.warm_wall_s;
+      incremental_wall += replay.decision_wall_s;
       cold_wall += replay.cold_wall_s;
       agree = agree && replay.verdicts_agree;
-
-      // Warm-only tier: same stream, incremental disabled; its verdicts
-      // were already proven identical (warm == cold property), so skip the
-      // cold comparison and just take the in-controller wall.
-      const exp::ElasticReplay warm_replay = exp::replay_elastic(
-          stream, warm_only, /*pool=*/nullptr, /*verify_cold=*/false);
-      warm_seeded += warm_replay.warm_seeded;
-      warm_hits += warm_replay.warm_hits;
-      warm_wall += warm_replay.warm_wall_s;
     }
 
     json.key("admission");
@@ -321,26 +313,21 @@ int main(int argc, char** argv) {
     json.kv("requests", static_cast<std::uint64_t>(requests));
     json.kv("committed", static_cast<std::uint64_t>(committed));
     json.kv("rejected", static_cast<std::uint64_t>(rejected));
-    json.kv("warm_seeded", static_cast<std::uint64_t>(warm_seeded));
-    json.kv("warm_hits", static_cast<std::uint64_t>(warm_hits));
     json.kv("incremental_hits", static_cast<std::uint64_t>(incremental_hits));
     json.kv("incremental_prefix",
             static_cast<std::uint64_t>(incremental_prefix));
     json.kv("verified", static_cast<std::uint64_t>(verified));
     json.kv("incremental_wall_s", incremental_wall);
-    json.kv("warm_wall_s", warm_wall);
     json.kv("cold_wall_s", cold_wall);
-    json.kv("warm_speedup", warm_wall > 0.0 ? cold_wall / warm_wall : 0.0);
     json.kv("incremental_speedup",
             incremental_wall > 0.0 ? cold_wall / incremental_wall : 0.0);
     json.kv("verdicts_agree", agree);
     json.end_object();
 
     std::printf("  admission: %zu requests (%zu committed, %zu rejected), "
-                "incremental %.3fs / warm %.3fs / cold %.3fs, "
-                "%zu verdict copies%s\n",
-                requests, committed, rejected, incremental_wall, warm_wall,
-                cold_wall, incremental_hits, agree ? "" : "  DISAGREE");
+                "incremental %.3fs / cold %.3fs, %zu verdict copies%s\n",
+                requests, committed, rejected, incremental_wall, cold_wall,
+                incremental_hits, agree ? "" : "  DISAGREE");
     all_deterministic = all_deterministic && agree;
   }
 

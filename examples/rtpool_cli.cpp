@@ -355,8 +355,8 @@ int main(int argc, char** argv) {
     if (args.get_bool("sensitivity", false)) {
       // Critical WCET scaling per analysis: how much execution-time margin
       // (or overload) the set has under each test. One analyzer-generic
-      // fast search per row (one RtaContext per search, warm-started
-      // probes, partition-based analyzers partition once).
+      // fast search per row (one RtaContext per search, partition-based
+      // analyzers partition once).
       const auto run = [&](const char* label, const char* analyzer_name) {
         const analysis::Analyzer& a = analysis::get_analyzer(analyzer_name);
         if (a.capabilities().uses_partition && !a.make_partition(ts).success()) {
@@ -365,8 +365,8 @@ int main(int argc, char** argv) {
         }
         const analysis::SensitivityResult r =
             analysis::critical_scaling_factor(ts, a);
-        std::printf("  %-28s s* = %.3f  (%d probes, %d cut off, %zu warm)\n",
-                    label, r.factor, r.probes, r.cutoff_probes, r.warm_hits);
+        std::printf("  %-28s s* = %.3f  (%d probes, %d cut off)\n", label,
+                    r.factor, r.probes, r.cutoff_probes);
       };
       std::printf("\nSENSITIVITY (critical WCET scaling)\n");
       run("baseline [14]", "global-baseline");

@@ -34,8 +34,8 @@
 //                   crashed=false), never as a deadlock StallReport, and
 //                   the wedged node must be re-dispatched exactly once;
 //   elastic       — a seeded admit/evict/resize stream through the
-//                   ModeChangeController: warm-started admission verdicts
-//                   must be bit-identical to cold re-analysis, and two
+//                   ModeChangeController: the controller's incremental
+//                   verdicts must be bit-identical to cold re-analysis, and two
 //                   replays of the same stream must render identical
 //                   transition logs (determinism contract).
 //
@@ -403,7 +403,7 @@ void run_elastic(std::uint64_t seed, std::FILE* transition_log) {
       exp::replay_elastic(requests, config, nullptr, /*verify_cold=*/true);
   if (!first.verdicts_agree)
     fail(context, no_plan,
-         "warm-started admission verdict differs from cold re-analysis");
+         "controller verdict differs from cold re-analysis");
   if (first.committed + first.rejected != requests.size())
     fail(context, no_plan, "transition log lost requests");
   for (const exec::ModeTransition& tr : first.log)
@@ -420,10 +420,9 @@ void run_elastic(std::uint64_t seed, std::FILE* transition_log) {
   if (transition_log != nullptr)
     std::fputs(first.log_json.c_str(), transition_log);
   if (g_verbose)
-    std::printf("  [%s] ok: %zu committed, %zu rejected, %zu warm-seeded, "
-                "%zu verified cold\n",
+    std::printf("  [%s] ok: %zu committed, %zu rejected, %zu verified cold\n",
                 context.c_str(), first.committed, first.rejected,
-                first.warm_seeded, first.verified);
+                first.verified);
 }
 
 }  // namespace

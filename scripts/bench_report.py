@@ -96,10 +96,12 @@ def diff_against_baseline(report, baseline):
     new_adm = report.get("admission")
     if old_adm and new_adm:
         row = {}
-        for key in ("incremental_wall_s", "warm_wall_s", "cold_wall_s",
-                    "warm_speedup", "incremental_speedup"):
-            old = old_adm.get(key, 0.0)
-            new = new_adm.get(key, 0.0)
+        for key in ("incremental_wall_s", "cold_wall_s",
+                    "incremental_speedup"):
+            if key not in old_adm or key not in new_adm:
+                continue
+            old = old_adm[key]
+            new = new_adm[key]
             row[key] = new
             row["baseline_" + key] = old
             if old > 0.0 and new > 0.0:
@@ -254,10 +256,13 @@ def main():
         gbench = load_json(args.kernels)
         report["kernels"] = extract_kernels(gbench)
         context = gbench.get("context", {})
+        # google-benchmark's own build type, not rtpool's: perf_sweep
+        # records rtpool's build type, compiler and nproc under `build`.
         report["host"] = {
             "num_cpus": context.get("num_cpus"),
             "mhz_per_cpu": context.get("mhz_per_cpu"),
-            "library_build_type": context.get("library_build_type"),
+            "benchmark_library_build_type":
+                context.get("library_build_type"),
         }
 
     serve_failures = []
@@ -296,8 +301,8 @@ def main():
         return 1
     admission = report.get("admission")
     if admission and not admission.get("verdicts_agree", True):
-        print("bench_report: admission warm/cold verdict disagreement "
-              "recorded in sweep input", file=sys.stderr)
+        print("bench_report: admission incremental/cold verdict "
+              "disagreement recorded in sweep input", file=sys.stderr)
         return 1
     if scaling_regressions and args.enforce_thread_scaling:
         print(f"bench_report: {len(scaling_regressions)} thread-scaling "

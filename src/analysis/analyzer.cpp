@@ -82,8 +82,7 @@ class GlobalAnalyzer final : public Analyzer {
   std::string_view description() const override { return description_; }
   AnalyzerCapabilities capabilities() const override {
     return {.uses_partition = false,
-            .reports_response_times = true,
-            .supports_warm_start = true};
+            .reports_response_times = true};
   }
 
   Report analyze(const model::TaskSet& ts, RtaContext& ctx,
@@ -148,8 +147,7 @@ class PartitionedAnalyzer final : public Analyzer {
   std::string_view description() const override { return description_; }
   AnalyzerCapabilities capabilities() const override {
     return {.uses_partition = true,
-            .reports_response_times = true,
-            .supports_warm_start = true};
+            .reports_response_times = true};
   }
 
   PartitionResult make_partition(const model::TaskSet& ts) const override {
@@ -246,8 +244,7 @@ class FederatedAnalyzer final : public Analyzer {
   std::string_view description() const override { return description_; }
   AnalyzerCapabilities capabilities() const override {
     return {.uses_partition = false,
-            .reports_response_times = false,
-            .supports_warm_start = false};
+            .reports_response_times = false};
   }
 
   Report analyze(const model::TaskSet& ts, RtaContext& ctx,

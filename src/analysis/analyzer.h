@@ -79,8 +79,6 @@ struct AnalyzerCapabilities {
   bool uses_partition = false;
   /// Fills TaskVerdict::response_time with a finite bound when schedulable.
   bool reports_response_times = false;
-  /// Consults RtaContext warm-start state across scaled re-runs.
-  bool supports_warm_start = false;
 };
 
 /// Unified per-task verdict. Family-specific fields keep their neutral
@@ -133,8 +131,8 @@ struct Report {
   std::shared_ptr<const cert::Certificate> certificate;
 
   /// Value equality; certificates compare by value (both absent, or both
-  /// present and equal), not by pointer identity, so a warm-started Report
-  /// equals its cold twin.
+  /// present and equal), not by pointer identity, so a Report equals its
+  /// twin from a fresh context.
   friend bool operator==(const Report& a, const Report& b) {
     const bool certs_equal =
         a.certificate == b.certificate ||
@@ -164,8 +162,8 @@ class Analyzer {
   virtual AnalyzerCapabilities capabilities() const = 0;
 
   /// Run the analysis. `ctx` must have been built for `ts` (ModelError
-  /// otherwise) and carries the structural caches and warm-start state
-  /// across calls, exactly as for the family kernels.
+  /// otherwise) and carries the structural caches and incremental-reuse
+  /// state across calls, exactly as for the family kernels.
   virtual Report analyze(const model::TaskSet& ts, RtaContext& ctx,
                          const AnalyzerOptions& options = {}) const = 0;
 

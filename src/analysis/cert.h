@@ -11,7 +11,7 @@
 // diverged higher-priority blocker).
 //
 // The structures here are plain data: no behaviour, defaulted equality
-// (used by the warm-equals-cold golden tests), no pointers into kernel
+// (used by the context-reuse golden tests), no pointers into kernel
 // state. An INDEPENDENT checker (cert_check.h) re-validates every claim
 // from the task set alone; it shares no kernel code with the emitters.
 // Emission helpers living in cert.cpp (witness extraction) are kernel-side

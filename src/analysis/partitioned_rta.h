@@ -107,14 +107,13 @@ std::vector<util::Time> per_core_workload_vector(const model::DagTask& task,
 ///
 /// `ctx` (optional) must have been built for `ts`; it caches the blocking
 /// vectors, per-core workloads and Lemma-3 verdicts per (task, partition)
-/// binding and carries warm-start state across scaled re-runs (see
-/// rta_context.h). Results are identical with or without a context.
+/// binding and carries the incremental-reuse state (see rta_context.h).
+/// Results are identical with or without a context.
 ///
 /// `certificate` (optional): when non-null, filled with a machine-checkable
 /// proof of the result (see cert.h) — the partition echo with core loads,
 /// per-segment blocking/response operands, deadline-miss iterates, and the
-/// Lemma-3 witnesses. Warm-started runs whose fixed point diverges are
-/// rerun cold, so warm certificates are bit-identical to cold ones.
+/// Lemma-3 witnesses.
 PartitionedRtaResult analyze_partitioned(const model::TaskSet& ts,
                                          const TaskSetPartition& partition,
                                          const PartitionedRtaOptions& options = {},

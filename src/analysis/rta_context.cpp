@@ -36,11 +36,6 @@ void RtaContext::reset(const model::TaskSet& ts) {
   bound_cores_ = 0;
   deadlock_free_.clear();
 
-  warm_enabled_ = false;
-  warm_hits_ = 0;
-  warm_global_.valid = false;
-  warm_partitioned_.valid = false;
-
   snapshots_enabled_ = false;
   global_snapshot_.valid = false;
   partitioned_snapshot_.valid = false;
@@ -84,30 +79,6 @@ const std::vector<graph::NodeId>& RtaContext::topo_order(std::size_t i) {
   // DagTask caches its one topological order at construction; serving it
   // directly keeps the context free of per-task order copies.
   return ts_->task(i).topo_order();
-}
-
-bool RtaContext::seed_warm_from(
-    const RtaContext& prior,
-    const std::vector<std::optional<std::size_t>>& task_map) {
-  if (task_map.size() != ts_->size())
-    throw model::ModelError("RtaContext::seed_warm_from: task_map size mismatch");
-  const WarmGlobal& src = prior.warm_global_;
-  if (!src.valid) return false;
-  WarmGlobal& dst = warm_global_;
-  dst.valid = true;
-  dst.scale = src.scale;
-  dst.options = src.options;
-  // Unmapped (new) tasks get 0: below any base value, so the fixed point
-  // effectively cold-starts for them while surviving tasks resume from
-  // their prior converged response.
-  dst.response.assign(ts_->size(), 0.0);
-  for (std::size_t i = 0; i < task_map.size(); ++i) {
-    if (!task_map[i].has_value()) continue;
-    if (*task_map[i] >= src.response.size())
-      throw model::ModelError("RtaContext::seed_warm_from: task_map out of range");
-    dst.response[i] = src.response[*task_map[i]];
-  }
-  return true;
 }
 
 void RtaContext::compute_fifo_blocking_row(

@@ -84,7 +84,6 @@ SensitivityResult critical_scaling_factor(const model::TaskSet& ts,
                                           const SensitivityOptions& options) {
   SensitivityResult result;
   RtaContext ctx(ts);
-  ctx.set_warm_start(options.warm_start);
 
   AnalyzerOptions probe_options = base;
   PartitionResult owned_partition;
@@ -113,7 +112,6 @@ SensitivityResult critical_scaling_factor(const model::TaskSet& ts,
         return analyzer.analyze(ts, ctx, probe_options).schedulable;
       },
       options);
-  result.warm_hits = ctx.warm_hits();
   return result;
 }
 

@@ -17,14 +17,14 @@
 //    test expressible as a predicate works.
 //  * `critical_scaling_factor` over a registered `Analyzer` — the fast
 //    path, one driver for every analysis behind the spine (analyzer.h).
-//    One RtaContext carries the structural caches and warm-start state
-//    across probes, partition-based analyzers partition once for the whole
-//    search, each probe runs the analysis with `wcet_scale = s` on the
-//    *original* set (no copies), and probes where some task's scaled
-//    critical path alone already exceeds its deadline are cut off without
-//    running the analysis at all (verdict-safe: every analysis
-//    lower-bounds a task's response by s·len, so such probes always
-//    fail). The probe *sequence* is identical to the generic path.
+//    One RtaContext carries the structural caches across probes,
+//    partition-based analyzers partition once for the whole search, each
+//    probe runs the analysis with `wcet_scale = s` on the *original* set
+//    (no copies), and probes where some task's scaled critical path alone
+//    already exceeds its deadline are cut off without running the
+//    analysis at all (verdict-safe: every analysis lower-bounds a task's
+//    response by s·len, so such probes always fail). The probe *sequence*
+//    is identical to the generic path.
 //
 // The former per-family fast paths
 // `critical_scaling_factor_{global,partitioned,federated}` survive as thin
@@ -50,10 +50,6 @@ struct SensitivityOptions {
   double hi = 8.0;        ///< Upper bracket; results are clamped below it.
   double tolerance = 1e-3;///< Absolute tolerance on s.
   int max_iterations = 64;
-  /// Fast paths only: reuse converged fixed points from earlier passing
-  /// probes as iteration starts (bit-identical results; see rta_context.h).
-  /// Exposed so tests can assert warm ≡ cold.
-  bool warm_start = true;
   /// Fast paths only: fail probes whose scaled critical path already
   /// exceeds some deadline without running the analysis (verdict-safe).
   bool critical_path_cutoff = true;
@@ -64,7 +60,6 @@ struct SensitivityResult {
   double factor = 0.0;        ///< The critical scaling factor (0.0 = infeasible).
   int probes = 0;             ///< Schedulability probes issued (incl. cutoffs).
   int cutoff_probes = 0;      ///< Probes decided by the critical-path cutoff.
-  std::size_t warm_hits = 0;  ///< Fixed points started from warm state.
 };
 
 /// A schedulability test as a predicate over task sets.
@@ -84,8 +79,7 @@ double critical_scaling_factor(const model::TaskSet& ts,
 
 /// Fast path, analyzer-generic: critical scaling factor of
 /// `analyzer.analyze(ts, ctx, base)` with `base.wcet_scale` overwritten per
-/// probe. One RtaContext (warm starts per `options.warm_start`, honoured
-/// only by analyzers with supports_warm_start) serves the whole search.
+/// probe. One RtaContext serves the whole search.
 /// Partition-based analyzers partition once: `base.partition` if supplied,
 /// otherwise `analyzer.make_partition(ts)` — whose failure makes every
 /// probe fail, i.e. factor 0.0, without throwing. Same probe sequence as

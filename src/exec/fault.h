@@ -10,8 +10,9 @@
 //                  watchdog's *budget*, never its deadlock verdict;
 //   kThrow       — the node body throws: exercises the exception-safe
 //                  worker path (failed_nodes in ExecReport, no terminate);
-//   kDropNotify  — the notify that would open this BJ node's barrier is
-//                  dropped once: a lost wakeup the watchdog must detect
+//   kDropNotify  — the wakeup that would open this BJ node's barrier is
+//                  lost once, also when the barrier opens before the fork
+//                  parks on it: a lost wakeup the watchdog must detect
 //                  (satisfied-but-sleeping barrier) and heal by re-notify;
 //   kWorkerDeath — the worker executing this node crashes (the closure is
 //                  handed back to its queue first, so the node is re-run

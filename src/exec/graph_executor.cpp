@@ -43,6 +43,9 @@ struct RunState : std::enable_shared_from_this<RunState> {
     enum class Phase { kIdle, kForkRunning, kWaiting, kDone };
     Phase phase = Phase::kIdle;
     std::optional<std::size_t> worker;  ///< Who runs/suspends the fork.
+    /// A drop-notify fault ate this region's wakeup: the fork sleeps on
+    /// the satisfied barrier until the guard re-notifies.
+    bool wakeup_lost = false;
   };
 
   RunState(ThreadPool& p, const DagTask& t, const ExecOptions& opts,
@@ -140,12 +143,18 @@ struct RunState : std::enable_shared_from_this<RunState> {
     if (first_error.empty()) first_error = what;
   }
 
-  /// True when the injected drop-notify fault on BJ node w eats this
-  /// notify (once per plan entry).
-  bool consume_drop_notify(NodeId w) RTPOOL_REQUIRES(mutex) {
+  /// Fire the injected drop-notify fault on BJ node w of `region` once the
+  /// barrier is open (once per plan entry): the region's wakeup is lost.
+  /// Called both where the barrier opens and where the fork parks, so the
+  /// loss happens whichever of the two comes first. Returns true when it
+  /// fired here.
+  bool consume_drop_notify(NodeId w, std::size_t region)
+      RTPOOL_REQUIRES(mutex) {
     const NodeFault* fault = options.faults.find(w);
     if (fault == nullptr || fault->kind != FaultKind::kDropNotify) return false;
-    return notify_dropped.insert(w).second;
+    if (!notify_dropped.insert(w).second) return false;
+    regions[region].wakeup_lost = true;
+    return true;
   }
 
   /// Lethal fault injection, called at the very top of a plain closure —
@@ -207,7 +216,8 @@ struct RunState : std::enable_shared_from_this<RunState> {
         // unless a drop-notify fault eats the wakeup (the guard detects the
         // satisfied-but-sleeping barrier and re-notifies).
         util::MutexLock lock(mutex);
-        if (!consume_drop_notify(w)) barrier_cv.notify_all();
+        if (!consume_drop_notify(w, *task.region_of(w)))
+          barrier_cv.notify_all();
       } else {
         ready.push_back(w);
       }
@@ -270,10 +280,17 @@ struct RunState : std::enable_shared_from_this<RunState> {
           // suspended and unavailable — the paper's reduced concurrency.
           ThreadPool::BlockedScope blocked(self->pool);
           util::MutexLock lock(self->mutex);
-          self->regions[region].phase = RegionRt::Phase::kWaiting;
-          while (!self->cancelled &&
-                 self->preds_left[join].load(std::memory_order_acquire) != 0)
+          RegionRt& rt = self->regions[region];
+          rt.phase = RegionRt::Phase::kWaiting;
+          while (!self->cancelled) {
+            if (self->preds_left[join].load(std::memory_order_acquire) == 0) {
+              // The barrier may have opened before this fork parked; the
+              // injected fault still loses the wakeup.
+              self->consume_drop_notify(join, region);
+              if (!rt.wakeup_lost) break;
+            }
             self->barrier_cv.wait(self->mutex);
+          }
           if (self->cancelled) return;
           self->regions[region].phase = RegionRt::Phase::kDone;
         }
@@ -349,6 +366,7 @@ struct RunState : std::enable_shared_from_this<RunState> {
 
   void renotify() RTPOOL_EXCLUDES(mutex) {
     util::MutexLock lock(mutex);
+    for (RegionRt& rt : regions) rt.wakeup_lost = false;
     barrier_cv.notify_all();
     done_cv.notify_all();
   }

@@ -64,11 +64,9 @@ ElasticReplay replay_elastic(const std::vector<ElasticRequest>& requests,
         tr = controller.resize(req.new_workers);
         break;
     }
-    out.warm_wall_s += tr.decision_ms / 1000.0;
+    out.decision_wall_s += tr.decision_ms / 1000.0;
     if (tr.committed) ++out.committed;
     else ++out.rejected;
-    if (tr.warm_seeded) ++out.warm_seeded;
-    out.warm_hits += tr.warm_hits;
     out.incremental_hits += tr.incremental_hits;
     out.incremental_prefix += tr.incremental_prefix;
 

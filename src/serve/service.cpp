@@ -1,5 +1,6 @@
 #include "serve/service.h"
 
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -460,6 +461,13 @@ void AdmissionService::process_one(const Epoch& epoch, Shard& shard,
   const char* path = "cold";
   MemoEntry fresh;
   const MemoEntry* entry = nullptr;
+  // The memo's equality witness: serialized only when caches are on, and
+  // at most once per request (shared by the hit check and the new entry).
+  std::optional<std::string> canonical;
+  const auto canonical_once = [&]() -> std::string& {
+    if (!canonical.has_value()) canonical = canonical_text(ts);
+    return *canonical;
+  };
 
   if (caches_on) {
     if (const MemoEntry* hit = shard.memo.find(key)) {
@@ -472,7 +480,7 @@ void AdmissionService::process_one(const Epoch& epoch, Shard& shard,
       if (hit->analyzer == analyzer.name() &&
           hit->wcet_scale == req.wcet_scale && hit->certify == req.certify &&
           hit->task_count == ts.size() && hit->core_count == ts.core_count() &&
-          hit->canonical == canonical_text(ts)) {
+          hit->canonical == canonical_once()) {
         entry = hit;
         path = "memo";
         memo_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -525,7 +533,7 @@ void AdmissionService::process_one(const Epoch& epoch, Shard& shard,
 
     fresh.task_count = ts.size();
     fresh.core_count = ts.core_count();
-    fresh.canonical = canonical_text(ts);
+    if (caches_on) fresh.canonical = std::move(canonical_once());
     fresh.analyzer = std::string(analyzer.name());
     fresh.wcet_scale = req.wcet_scale;
     fresh.certify = req.certify;

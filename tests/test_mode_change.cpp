@@ -1,6 +1,6 @@
 // Tests for the online mode-change controller (exec/mode_change.h):
 // admission / eviction / resize decision paths, certificate-carrying
-// rejections, the warm-equals-cold property, the runtime cross-check
+// rejections, the incremental-equals-cold property, the runtime cross-check
 // against the Lemma 2 witness, drain semantics and log determinism.
 #include <gtest/gtest.h>
 
@@ -209,9 +209,9 @@ TEST(ModeChangeTest, CrossCheckFailureCommitsLoudlyWhenNotRequired) {
 }
 
 // ---------------------------------------------------------------------------
-// Warm-equals-cold: the property the warm-start shortcut must preserve.
+// Controller-equals-cold: incremental re-analysis must not change a verdict.
 
-TEST(ModeChangeTest, WarmVerdictsBitIdenticalToColdOverSeededStreams) {
+TEST(ModeChangeTest, ControllerVerdictsBitIdenticalToColdOverSeededStreams) {
   for (const std::uint64_t seed : {11u, 29u, 47u}) {
     exp::ElasticScenarioParams params;
     params.steps = 8;
@@ -221,36 +221,18 @@ TEST(ModeChangeTest, WarmVerdictsBitIdenticalToColdOverSeededStreams) {
         exp::replay_elastic(requests, small_config(), /*pool=*/nullptr,
                             /*verify_cold=*/true);
     EXPECT_TRUE(replay.verdicts_agree)
-        << "seed " << seed << ": warm verdict diverged from cold re-analysis";
+        << "seed " << seed
+        << ": controller verdict diverged from cold re-analysis";
     EXPECT_GT(replay.verified, 0u) << "seed " << seed;
     EXPECT_EQ(replay.committed + replay.rejected, requests.size())
         << "seed " << seed;
   }
 }
 
-TEST(ModeChangeTest, WarmAdmissionsActuallyReuseWarmState) {
-  // Incremental off: the warm-start tier alone must carry the shortcut.
-  ModeChangeConfig config = small_config();
-  config.incremental = false;
-  ModeChangeController controller(config);
-  ASSERT_TRUE(controller.admit(light_task("tau0", 0)).committed);
-  const ModeTransition second = controller.admit(light_task("tau1", 1));
-  ASSERT_TRUE(second.committed);
-  // The shortcut is real, not vacuous: the second admission seeded from the
-  // first mode's converged response times.
-  EXPECT_TRUE(second.warm_seeded);
-  EXPECT_GT(second.warm_hits, 0u);
-  EXPECT_EQ(second.incremental_hits, 0u);
-  // And it matches a cold run of the same proposal bit-for-bit.
-  ASSERT_NE(second.proposed, nullptr);
-  const analysis::Report cold = controller.cold_analyze(*second.proposed);
-  EXPECT_TRUE(cold == second.report);
-}
-
 TEST(ModeChangeTest, IncrementalAdmissionsCopyPriorVerdicts) {
-  // Default config: incremental on. The second admission adds tau1 at a
-  // LOWER priority than surviving tau0, so tau0 sits in the copyable
-  // prefix — its fixed point is skipped outright, not just warm-started.
+  // The second admission adds tau1 at a LOWER priority than surviving
+  // tau0, so tau0 sits in the copyable prefix — its fixed point is skipped
+  // outright.
   ModeChangeController controller(small_config());
   const ModeTransition first = controller.admit(light_task("tau0", 0));
   ASSERT_TRUE(first.committed);
