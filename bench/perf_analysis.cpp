@@ -309,6 +309,29 @@ void BM_SimulateGlobal(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateGlobal)->Arg(2)->Arg(8)->Arg(32);
 
+/// The partitioned dispatch path on the BM_SimulateGlobal set under its
+/// Algorithm 1 partition; args: horizon in max periods, work stealing.
+void BM_SimulatePartitioned(benchmark::State& state) {
+  const auto ts = make_set(4, 3, 47);
+  const auto part = analysis::partition_algorithm1(ts);
+  if (!part.success()) {
+    state.SkipWithError("algorithm 1 failed");
+    return;
+  }
+  sim::SimConfig cfg;
+  cfg.policy = sim::SchedulingPolicy::kPartitioned;
+  cfg.partition = part.partition;
+  cfg.work_stealing = state.range(1) != 0;
+  double max_period = 0.0;
+  for (const auto& t : ts.tasks()) max_period = std::max(max_period, t.period());
+  cfg.horizon = static_cast<double>(state.range(0)) * max_period;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(sim::simulate(ts, cfg).jobs.size());
+}
+BENCHMARK(BM_SimulatePartitioned)
+    ->ArgsProduct({{2, 8, 32}, {0, 1}})
+    ->ArgNames({"windows", "steal"});
+
 void BM_TaskSetGeneration(benchmark::State& state) {
   gen::TaskSetParams params;
   params.cores = 8;

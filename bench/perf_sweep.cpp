@@ -271,17 +271,19 @@ int main(int argc, char** argv) {
     all_deterministic = all_deterministic && agree;
   }
 
-  // Admission latency: request-to-verdict time of the online mode-change
-  // controller over seeded admit/evict/resize streams, at two tiers — the
-  // controller's incremental re-analysis against the committed mode's
-  // snapshots, and the independent cold re-analysis of every proposal. The
-  // wall times are informational; `verdicts_agree` (the incremental tier
-  // must be bit-identical to cold) is folded into the exit gate — again a
-  // value gate, never a time gate.
+  // Admission: the online mode-change controller over seeded
+  // admit/evict/resize streams, each proposal also re-analyzed cold. The
+  // two wall times cover different work — `decision_wall_s` is the whole
+  // request-to-verdict path (propose, incremental analysis, cross-check,
+  // drain, commit), `cold_wall_s` a bare cold analysis — so they are
+  // reported side by side and never as a ratio. They are informational;
+  // `verdicts_agree` (the incremental verdict must be bit-identical to
+  // cold) is folded into the exit gate — again a value gate, never a time
+  // gate.
   {
     const int admission_streams = 3;
     const int admission_steps = 12;
-    double incremental_wall = 0.0, cold_wall = 0.0;
+    double decision_wall = 0.0, cold_wall = 0.0;
     std::size_t requests = 0, committed = 0, rejected = 0, verified = 0;
     std::size_t incremental_hits = 0, incremental_prefix = 0;
     bool agree = true;
@@ -302,7 +304,7 @@ int main(int argc, char** argv) {
       incremental_hits += replay.incremental_hits;
       incremental_prefix += replay.incremental_prefix;
       verified += replay.verified;
-      incremental_wall += replay.decision_wall_s;
+      decision_wall += replay.decision_wall_s;
       cold_wall += replay.cold_wall_s;
       agree = agree && replay.verdicts_agree;
     }
@@ -317,16 +319,14 @@ int main(int argc, char** argv) {
     json.kv("incremental_prefix",
             static_cast<std::uint64_t>(incremental_prefix));
     json.kv("verified", static_cast<std::uint64_t>(verified));
-    json.kv("incremental_wall_s", incremental_wall);
+    json.kv("decision_wall_s", decision_wall);
     json.kv("cold_wall_s", cold_wall);
-    json.kv("incremental_speedup",
-            incremental_wall > 0.0 ? cold_wall / incremental_wall : 0.0);
     json.kv("verdicts_agree", agree);
     json.end_object();
 
     std::printf("  admission: %zu requests (%zu committed, %zu rejected), "
-                "incremental %.3fs / cold %.3fs, %zu verdict copies%s\n",
-                requests, committed, rejected, incremental_wall, cold_wall,
+                "decisions %.3fs, cold analyses %.3fs, %zu verdict copies%s\n",
+                requests, committed, rejected, decision_wall, cold_wall,
                 incremental_hits, agree ? "" : "  DISAGREE");
     all_deterministic = all_deterministic && agree;
   }

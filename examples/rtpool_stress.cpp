@@ -168,13 +168,6 @@ void run_deadlock(const model::DagTask& task, std::uint64_t seed,
                 report.emergency_workers);
 }
 
-#if defined(__GNUC__) && !defined(__clang__)
-// GCC 12's -Wmaybe-uninitialized cannot track std::optional's engaged flag
-// through the inlined emplace/reset under -fsanitize=address and flags the
-// freshly default-constructed ExecOptions::assignment.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
 void run_partitioned(const model::DagTask& task, std::uint64_t seed) {
   const std::size_t bbar = analysis::max_affecting_forks(task);
   const std::size_t m = bbar + 1;
@@ -182,15 +175,17 @@ void run_partitioned(const model::DagTask& task, std::uint64_t seed) {
   ts.add(task);
   const analysis::PartitionResult partition = analysis::partition_algorithm1(ts);
   if (!partition.success()) return;  // Algorithm 1 may fail; normal result
-  const analysis::NodeAssignment& assignment = partition.partition->per_task[0];
 
   exec::ThreadPool pool(m, exec::ThreadPool::QueueMode::kPerWorker);
   exec::GraphExecutor executor(pool, task);
-  exec::ExecOptions options;
-  options.microseconds_per_unit = 2.0;
-  options.watchdog = std::chrono::milliseconds(5000);
-  options.assignment.emplace(assignment);
-  options.faults = draw_plan(task, seed, /*allow_stalls=*/true);
+  // The assignment is built into the options, never emplaced into a
+  // disengaged optional afterwards.
+  exec::ExecOptions options{
+      .microseconds_per_unit = 2.0,
+      .watchdog = std::chrono::milliseconds(5000),
+      .assignment = partition.partition->per_task[0],
+      .faults = draw_plan(task, seed, /*allow_stalls=*/true),
+  };
 
   const std::string context = "partitioned seed=" + std::to_string(seed);
   const exec::ExecReport report = executor.run_blocking(options);
@@ -205,9 +200,6 @@ void run_partitioned(const model::DagTask& task, std::uint64_t seed) {
     std::printf("  [%s] ok: %zu nodes on %zu workers\n", context.c_str(),
                 report.nodes_executed, m);
 }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 /// Per-node execution counters: the exactly-once invariant under lethal
 /// faults. Returns false (and reports) on any lost or duplicated node.
@@ -299,16 +291,16 @@ void run_worker_death_partitioned(const model::DagTask& task,
   ts.add(task);
   const analysis::PartitionResult partition = analysis::partition_algorithm1(ts);
   if (!partition.success()) return;
-  const analysis::NodeAssignment& assignment = partition.partition->per_task[0];
 
   exec::ThreadPool pool(m, exec::ThreadPool::QueueMode::kPerWorker);
   exec::GraphExecutor executor(pool, task);
-  exec::ExecOptions options;
-  options.microseconds_per_unit = 2.0;
-  options.watchdog = std::chrono::milliseconds(5000);
-  options.respawn_backoff = std::chrono::milliseconds(5);
-  options.assignment.emplace(assignment);
-  options.faults = draw_lethal_plan(task, seed, /*deaths=*/true, /*hangs=*/false);
+  exec::ExecOptions options{
+      .microseconds_per_unit = 2.0,
+      .watchdog = std::chrono::milliseconds(5000),
+      .assignment = partition.partition->per_task[0],
+      .faults = draw_lethal_plan(task, seed, /*deaths=*/true, /*hangs=*/false),
+      .respawn_backoff = std::chrono::milliseconds(5),
+  };
   const std::size_t deaths = options.faults.count(exec::FaultKind::kWorkerDeath);
   options.max_worker_respawns = deaths + 1;
 

@@ -96,8 +96,7 @@ def diff_against_baseline(report, baseline):
     new_adm = report.get("admission")
     if old_adm and new_adm:
         row = {}
-        for key in ("incremental_wall_s", "cold_wall_s",
-                    "incremental_speedup"):
+        for key in ("decision_wall_s", "cold_wall_s"):
             if key not in old_adm or key not in new_adm:
                 continue
             old = old_adm[key]

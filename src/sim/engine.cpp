@@ -35,14 +35,31 @@ struct ThreadState {
   ThreadMode mode = ThreadMode::kIdle;
   NodeId node = 0;        ///< Valid when kBusy.
   Time remaining = 0.0;   ///< Remaining execution of `node` when kBusy.
-  std::size_t region = 0; ///< Awaited region index when kSuspended.
+};
+
+/// One FIFO queue: the window [head, tail) of its own node-count-sized
+/// segment of the pool's queue buffer, reset to empty at every job start.
+/// A node is enqueued at most once per job, so the segment never overflows;
+/// a back-steal moves `tail` down, which only frees room.
+struct QueueRing {
+  std::size_t base = 0;
+  std::size_t head = 0;
+  std::size_t tail = 0;
+  bool empty() const { return head == tail; }
 };
 
 /// Runtime state of one task (its pool and current job).
 struct PoolState {
   std::vector<ThreadState> threads;
-  std::deque<NodeId> pool_queue;                ///< Global intra-pool queue.
-  std::vector<std::deque<NodeId>> thread_queues;///< Partitioned queues.
+  std::size_t busy = 0;  ///< Threads in kBusy (running or preempted).
+  /// One queue for the pool under global scheduling, one per thread under
+  /// partitioned scheduling; the rings index into `queued`.
+  std::vector<QueueRing> queues;
+  std::vector<NodeId> queued;
+
+  void push(std::size_t q, NodeId v) { queued[queues[q].tail++] = v; }
+  NodeId pop_front(std::size_t q) { return queued[queues[q].head++]; }
+  NodeId pop_back(std::size_t q) { return queued[--queues[q].tail]; }
 
   bool job_active = false;
   std::uint64_t job_number = 0;
@@ -91,16 +108,21 @@ class Engine {
     if (config_.release_jitter_frac < 0.0)
       throw std::invalid_argument("simulate: negative release jitter");
 
+    order_ = ts_.priority_order();
     pools_.resize(ts_.size());
     for (std::size_t i = 0; i < ts_.size(); ++i) {
       PoolState& p = pools_[i];
       p.threads.resize(m_);
-      p.thread_queues.resize(m_);
+      p.queues.resize(partitioned() ? m_ : 1);
+      p.queued.resize(p.queues.size() * ts_.task(i).node_count());
+      for (std::size_t q = 0; q < p.queues.size(); ++q)
+        p.queues[q].base = q * ts_.task(i).node_count();
       p.region_thread.assign(ts_.task(i).blocking_regions().size(), m_);
       p.min_available = static_cast<long>(m_);
       p.next_release = 0.0;
     }
     running_.assign(m_, std::nullopt);
+    next_.assign(m_, std::nullopt);
     open_interval_.assign(m_, std::nullopt);
     result_.per_task.resize(ts_.size());
   }
@@ -127,25 +149,29 @@ class Engine {
 
   bool partitioned() const { return config_.policy == SchedulingPolicy::kPartitioned; }
 
-  analysis::ThreadId thread_of(std::size_t task, NodeId v) const {
-    return config_.partition->per_task[task].thread_of[v];
+  void enqueue(std::size_t task, NodeId v) {
+    pools_[task].push(
+        partitioned() ? config_.partition->per_task[task].thread_of[v] : 0, v);
   }
 
-  void enqueue(std::size_t task, NodeId v) {
+  /// Put `thread` of pool `task` to work on node `v` (every transition into
+  /// kBusy goes through here, so `busy` stays exact).
+  void start_node(std::size_t task, std::size_t thread, NodeId v) {
     PoolState& p = pools_[task];
-    if (partitioned()) {
-      p.thread_queues[thread_of(task, v)].push_back(v);
-    } else {
-      p.pool_queue.push_back(v);
-    }
+    ThreadState& th = p.threads[thread];
+    th.mode = ThreadMode::kBusy;
+    th.node = v;
+    th.remaining = ts_.task(task).wcet(v);
+    ++p.busy;
   }
 
   // ---- job lifecycle -------------------------------------------------
 
-  void start_job(std::size_t task, Time release, Time /*now*/) {
+  void start_job(std::size_t task, Time release) {
     const DagTask& dag_task = ts_.task(task);
     PoolState& p = pools_[task];
     p.job_active = true;
+    dispatch_stale_ = true;
     ++p.job_number;
     p.job_release = release;
     p.done.assign(dag_task.node_count(), false);
@@ -154,28 +180,20 @@ class Engine {
       p.preds_left[v] = dag_task.dag().in_degree(v);
     p.nodes_left = dag_task.node_count();
     std::fill(p.region_thread.begin(), p.region_thread.end(), m_);
+    for (QueueRing& q : p.queues) q.head = q.tail = q.base;
     enqueue(task, dag_task.source());
   }
 
-  void record_available(std::size_t task) {
-    PoolState& p = pools_[task];
-    if (!p.job_active) return;
-    const long avail = static_cast<long>(m_) - static_cast<long>(p.suspended_count);
-    p.min_available = std::min(p.min_available, avail);
+  /// The record of `task`'s current job, ending at `end` (miss flag unset).
+  JobRecord job_record(std::size_t task, Time end, bool completed) const {
+    const PoolState& p = pools_[task];
+    return {task, p.job_number, p.job_release, end, end - p.job_release, completed, false};
   }
 
   void complete_job(std::size_t task, Time now) {
     PoolState& p = pools_[task];
-    const DagTask& dag_task = ts_.task(task);
-
-    JobRecord rec;
-    rec.task_index = task;
-    rec.job_number = p.job_number;
-    rec.release = p.job_release;
-    rec.completion = now;
-    rec.response = now - p.job_release;
-    rec.completed = true;
-    rec.deadline_miss = rec.response > dag_task.deadline() + kEps;
+    JobRecord rec = job_record(task, now, /*completed=*/true);
+    rec.deadline_miss = rec.response > ts_.task(task).deadline() + kEps;
     result_.jobs.push_back(rec);
 
     TaskStats& stats = result_.per_task[task];
@@ -191,7 +209,7 @@ class Engine {
     if (!p.backlog.empty()) {
       const Time release = p.backlog.front();
       p.backlog.pop_front();
-      start_job(task, release, now);
+      start_job(task, release);
     }
   }
 
@@ -204,6 +222,8 @@ class Engine {
     const NodeId v = th.node;
 
     th.mode = ThreadMode::kIdle;
+    --p.busy;
+    dispatch_stale_ = true;
     p.done[v] = true;
     --p.nodes_left;
 
@@ -211,7 +231,7 @@ class Engine {
     for (NodeId w : dag_task.dag().successors(v)) {
       if (--p.preds_left[w] != 0) continue;
       if (dag_task.type(w) == NodeType::BJ) {
-        resume_join(task, w, now);
+        resume_join(task, w);
       } else {
         enqueue(task, w);
       }
@@ -226,22 +246,20 @@ class Engine {
       const NodeId join = dag_task.join_of(v);
       if (p.preds_left[join] == 0 && !p.done[join]) {
         // Barrier already open: run the join directly on this thread.
-        th.mode = ThreadMode::kBusy;
-        th.node = join;
-        th.remaining = dag_task.wcet(join);
+        start_node(task, thread, join);
       } else if (!p.done[join]) {
         th.mode = ThreadMode::kSuspended;
-        th.region = region;
         p.region_thread[region] = thread;
         ++p.suspended_count;
-        record_available(task);
+        p.min_available =
+            std::min(p.min_available, static_cast<long>(m_ - p.suspended_count));
       }
     }
 
     if (p.nodes_left == 0) complete_job(task, now);
   }
 
-  void resume_join(std::size_t task, NodeId join, Time /*now*/) {
+  void resume_join(std::size_t task, NodeId join) {
     PoolState& p = pools_[task];
     const DagTask& dag_task = ts_.task(task);
     const std::size_t region = *dag_task.region_of(join);
@@ -252,13 +270,9 @@ class Engine {
       // by running the join directly; nothing to do here.
       return;
     }
-    ThreadState& th = p.threads[thread];
-    th.mode = ThreadMode::kBusy;
-    th.node = join;
-    th.remaining = dag_task.wcet(join);
+    start_node(task, thread, join);
     p.region_thread[region] = m_;
     --p.suspended_count;
-    record_available(task);
   }
 
   // ---- dispatching ------------------------------------------------------
@@ -267,45 +281,43 @@ class Engine {
   /// higher priority; equal-priority busy threads are ahead in FIFO order).
   std::size_t busy_at_least(int prio) const {
     std::size_t count = 0;
-    for (std::size_t i = 0; i < ts_.size(); ++i) {
-      if (ts_.task(i).priority() > prio) continue;
-      for (const ThreadState& th : pools_[i].threads)
-        if (th.mode == ThreadMode::kBusy) ++count;
+    for (std::size_t i : order_) {
+      if (ts_.task(i).priority() > prio) break;
+      count += pools_[i].busy;
     }
     return count;
   }
 
   void dispatch_global() {
     // Work-conserving activation: idle threads pull from their pool queue
-    // whenever the pulled node would immediately get a core.
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (std::size_t i = 0; i < ts_.size(); ++i) {
-        PoolState& p = pools_[i];
-        if (p.pool_queue.empty()) continue;
-        const int prio = ts_.task(i).priority();
-        for (std::size_t th = 0; th < m_ && !p.pool_queue.empty(); ++th) {
-          if (p.threads[th].mode != ThreadMode::kIdle) continue;
-          if (busy_at_least(prio) >= m_) break;  // would not get a core
-          const NodeId v = p.pool_queue.front();
-          p.pool_queue.pop_front();
-          p.threads[th].mode = ThreadMode::kBusy;
-          p.threads[th].node = v;
-          p.threads[th].remaining = ts_.task(i).wcet(v);
-          changed = true;
-        }
+    // whenever the pulled node would immediately get a core. One pass over
+    // the pools suffices. A pull only turns an idle thread busy, so during
+    // the pass busy counts only rise and queues only shrink. Pool i's pull
+    // loop stops with its queue empty, with no idle thread left, or with
+    // busy_at_least >= m; each of these still holds at the end of the
+    // pass, so a second pass could pull nothing. Within pool i's loop only
+    // its own pulls change its busy_at_least, one each.
+    for (std::size_t i = 0; i < ts_.size(); ++i) {
+      PoolState& p = pools_[i];
+      if (p.queues[0].empty()) continue;
+      std::size_t busy_ahead = busy_at_least(ts_.task(i).priority());
+      for (std::size_t th = 0; th < m_ && !p.queues[0].empty(); ++th) {
+        if (p.threads[th].mode != ThreadMode::kIdle) continue;
+        if (busy_ahead >= m_) break;  // would not get a core
+        start_node(i, th, p.pop_front(0));
+        ++busy_ahead;
       }
     }
 
     // Give the m highest-priority busy threads the cores.
-    std::vector<RunSlot> busy;
-    for (std::size_t i : ts_.priority_order())
-      for (std::size_t th = 0; th < m_; ++th)
+    winners_.clear();
+    for (std::size_t i : order_) {
+      if (pools_[i].busy == 0) continue;
+      for (std::size_t th = 0; th < m_ && winners_.size() < m_; ++th)
         if (pools_[i].threads[th].mode == ThreadMode::kBusy)
-          busy.push_back({i, th});
-    if (busy.size() > m_) busy.resize(m_);
-    assign_cores(busy);
+          winners_.push_back({i, th});
+    }
+    assign_cores();
   }
 
   /// Victim queue index an idle thread of pool `p` on `core` would steal
@@ -313,77 +325,62 @@ class Engine {
   std::size_t steal_victim(const PoolState& p, std::size_t core) const {
     for (std::size_t k = 1; k < m_; ++k) {
       const std::size_t victim = (core + k) % m_;
-      if (!p.thread_queues[victim].empty()) return victim;
+      if (!p.queues[victim].empty()) return victim;
     }
     return m_;
   }
 
   void dispatch_partitioned() {
-    std::vector<RunSlot> winners;
+    winners_.clear();
     for (std::size_t core = 0; core < m_; ++core) {
-      std::optional<RunSlot> best;
-      int best_prio = std::numeric_limits<int>::max();
-      for (std::size_t i : ts_.priority_order()) {
-        const int prio = ts_.task(i).priority();
+      // The first pool in priority order whose thread on this core is busy
+      // or can start a node gets the core.
+      for (std::size_t i : order_) {
         PoolState& p = pools_[i];
-        const ThreadState& th = p.threads[core];
-        const bool busy = th.mode == ThreadMode::kBusy;
-        const bool can_start =
-            th.mode == ThreadMode::kIdle &&
-            (!p.thread_queues[core].empty() ||
-             (config_.work_stealing && steal_victim(p, core) < m_));
-        if ((busy || can_start) && prio < best_prio) {
-          best = RunSlot{i, core};
-          best_prio = prio;
+        const ThreadMode mode = p.threads[core].mode;
+        if (mode == ThreadMode::kSuspended) continue;
+        if (mode == ThreadMode::kIdle) {
+          if (!p.queues[core].empty()) {
+            start_node(i, core, p.pop_front(core));
+          } else {
+            // Steal from the back of the victim queue, Eigen-style.
+            const std::size_t victim =
+                config_.work_stealing ? steal_victim(p, core) : m_;
+            if (victim == m_) continue;
+            start_node(i, core, p.pop_back(victim));
+          }
         }
+        winners_.push_back({i, core});
+        break;
       }
-      if (!best.has_value()) continue;
-      PoolState& p = pools_[best->task];
-      ThreadState& th = p.threads[core];
-      if (th.mode == ThreadMode::kIdle) {
-        NodeId v = 0;
-        if (!p.thread_queues[core].empty()) {
-          v = p.thread_queues[core].front();
-          p.thread_queues[core].pop_front();
-        } else {
-          // Steal from the back of the victim queue, Eigen-style.
-          const std::size_t victim = steal_victim(p, core);
-          v = p.thread_queues[victim].back();
-          p.thread_queues[victim].pop_back();
-        }
-        th.mode = ThreadMode::kBusy;
-        th.node = v;
-        th.remaining = ts_.task(best->task).wcet(v);
-      }
-      winners.push_back(*best);
     }
-    assign_cores(winners);
+    assign_cores();
   }
 
-  /// Map the chosen run slots onto cores, keeping continuing slots on their
-  /// previous core so traces show stable placements.
-  void assign_cores(const std::vector<RunSlot>& slots) {
-    std::vector<std::optional<RunSlot>> next(m_);
-    std::vector<bool> placed(slots.size(), false);
+  /// Map the chosen run slots (`winners_`) onto cores, keeping continuing
+  /// slots on their previous core so traces show stable placements.
+  void assign_cores() {
+    std::fill(next_.begin(), next_.end(), std::nullopt);
+    placed_.assign(winners_.size(), false);
 
     for (std::size_t c = 0; c < m_; ++c) {
       if (!running_[c].has_value()) continue;
-      for (std::size_t s = 0; s < slots.size(); ++s) {
-        if (!placed[s] && slots[s] == *running_[c]) {
-          next[c] = slots[s];
-          placed[s] = true;
+      for (std::size_t s = 0; s < winners_.size(); ++s) {
+        if (!placed_[s] && winners_[s] == *running_[c]) {
+          next_[c] = winners_[s];
+          placed_[s] = true;
           break;
         }
       }
     }
     std::size_t cursor = 0;
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      if (placed[s]) continue;
-      while (cursor < m_ && next[cursor].has_value()) ++cursor;
-      if (cursor >= m_) break;  // defensive; slots.size() <= m_ by construction
-      next[cursor] = slots[s];
+    for (std::size_t s = 0; s < winners_.size(); ++s) {
+      if (placed_[s]) continue;
+      while (cursor < m_ && next_[cursor].has_value()) ++cursor;
+      if (cursor >= m_) break;  // defensive; winners_.size() <= m_ by construction
+      next_[cursor] = winners_[s];
     }
-    running_ = std::move(next);
+    running_.swap(next_);
   }
 
   // ---- trace -----------------------------------------------------------
@@ -425,25 +422,38 @@ class Engine {
       changed = false;
 
       // Job releases due at t.
-      for (std::size_t i = 0; i < ts_.size(); ++i) {
-        PoolState& p = pools_[i];
-        while (!p.releases_exhausted && p.next_release <= t + kEps) {
-          const Time release = p.next_release;
-          ++result_.per_task[i].jobs_released;
-          if (p.job_active) {
-            p.backlog.push_back(release);
-          } else {
-            start_job(i, release, t);
+      if (next_release_ <= t + kEps) {
+        next_release_ = std::numeric_limits<Time>::infinity();
+        for (std::size_t i = 0; i < ts_.size(); ++i) {
+          PoolState& p = pools_[i];
+          while (!p.releases_exhausted && p.next_release <= t + kEps) {
+            const Time release = p.next_release;
+            ++result_.per_task[i].jobs_released;
+            if (p.job_active) {
+              p.backlog.push_back(release);
+            } else {
+              start_job(i, release);
+            }
+            schedule_next_release(i, release);
+            changed = true;
           }
-          schedule_next_release(i, release);
-          changed = true;
+          if (!p.releases_exhausted)
+            next_release_ = std::min(next_release_, p.next_release);
         }
       }
 
-      if (partitioned()) {
-        dispatch_partitioned();
-      } else {
-        dispatch_global();
+      // A dispatch is idempotent: rerun with no job start or node
+      // completion in between, it pulls nothing and keeps every placement
+      // (the single-pass argument in dispatch_global; under partitioned
+      // scheduling no pool ahead of a core's winner can become runnable
+      // without an enqueue). So it reruns only when one of those happened.
+      if (dispatch_stale_) {
+        dispatch_stale_ = false;
+        if (partitioned()) {
+          dispatch_partitioned();
+        } else {
+          dispatch_global();
+        }
       }
 
       // Completions of running nodes that have exhausted their budget.
@@ -490,12 +500,7 @@ class Engine {
     if (result_.deadlock.has_value()) return;
     for (std::size_t i = 0; i < ts_.size(); ++i) {
       PoolState& p = pools_[i];
-      if (!p.job_active || p.deadlocked) continue;
-      const bool any_busy =
-          std::any_of(p.threads.begin(), p.threads.end(), [](const ThreadState& th) {
-            return th.mode == ThreadMode::kBusy;
-          });
-      if (any_busy) continue;
+      if (!p.job_active || p.deadlocked || p.busy > 0) continue;
 
       // Distinguish a *preempted* pool (work is dispatchable, the threads
       // simply lost their cores to higher-priority tasks) from a *stuck*
@@ -505,18 +510,15 @@ class Engine {
       if (partitioned()) {
         for (std::size_t th = 0; th < m_; ++th) {
           if (p.threads[th].mode != ThreadMode::kIdle) continue;
-          if (!p.thread_queues[th].empty() ||
+          if (!p.queues[th].empty() ||
               (config_.work_stealing && steal_victim(p, th) < m_)) {
             dispatchable = true;
             break;
           }
         }
       } else {
-        const bool any_idle =
-            std::any_of(p.threads.begin(), p.threads.end(), [](const ThreadState& th) {
-              return th.mode == ThreadMode::kIdle;
-            });
-        dispatchable = any_idle && !p.pool_queue.empty();
+        // No thread is busy, so the threads not suspended are idle.
+        dispatchable = p.suspended_count < m_ && !p.queues[0].empty();
       }
       if (dispatchable) continue;
 
@@ -536,10 +538,7 @@ class Engine {
   }
 
   Time next_event_time(Time t) const {
-    Time next = std::numeric_limits<Time>::infinity();
-    for (std::size_t i = 0; i < ts_.size(); ++i)
-      if (!pools_[i].releases_exhausted)
-        next = std::min(next, pools_[i].next_release);
+    Time next = next_release_;
     for (const auto& slot : running_) {
       if (!slot.has_value()) continue;
       const ThreadState& th = pools_[slot->task].threads[slot->thread];
@@ -555,13 +554,7 @@ class Engine {
       result_.per_task[i].min_available_concurrency = p.min_available;
       if (!p.job_active) continue;
       // Cut-off job: only count a miss if its deadline already passed.
-      JobRecord rec;
-      rec.task_index = i;
-      rec.job_number = p.job_number;
-      rec.release = p.job_release;
-      rec.completion = t;
-      rec.response = t - p.job_release;
-      rec.completed = false;
+      JobRecord rec = job_record(i, t, /*completed=*/false);
       rec.deadline_miss = p.job_release + ts_.task(i).deadline() < t - kEps ||
                           p.deadlocked;
       if (rec.deadline_miss) {
@@ -583,11 +576,18 @@ class Engine {
   std::size_t m_;
   util::Rng rng_;
 
+  std::vector<std::size_t> order_;  ///< ts_.priority_order(), computed once.
   std::vector<PoolState> pools_;
   std::vector<std::optional<RunSlot>> running_;  ///< Per core.
+  // Per-instant scratch of dispatch/assign_cores, kept to avoid allocation.
+  std::vector<RunSlot> winners_;
+  std::vector<std::optional<RunSlot>> next_;
+  std::vector<bool> placed_;
   std::vector<std::optional<OpenInterval>> open_interval_{};
   SimResult result_;
   bool halted_ = false;
+  bool dispatch_stale_ = true;  ///< A job started or a node completed since.
+  Time next_release_ = 0.0;     ///< Earliest pending release of any pool.
 };
 
 }  // namespace

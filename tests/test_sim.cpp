@@ -1,9 +1,17 @@
 // Unit tests for the discrete-event thread-pool simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "analysis/partition.h"
+#include "gen/scenario_space.h"
+#include "gen/taskset_generator.h"
 #include "model/builder.h"
 #include "sim/engine.h"
 #include "sim/gantt.h"
@@ -289,6 +297,25 @@ TEST(SimTest, PartitionedQueueBehindSuspendedThreadDelays) {
   EXPECT_NEAR(ok.max_response(0), 22.0, 1e-9);
 }
 
+TEST(SimTest, PartitionedDispatchesLowestRepresentablePriority) {
+  // A pool at priority INT_MAX still gets its idle core under partitioned
+  // scheduling, exactly as under global scheduling.
+  TaskSet ts(1);
+  DagTaskBuilder b("lowest");
+  b.add_node(3.0);
+  b.period(10.0);
+  b.priority(std::numeric_limits<int>::max());
+  ts.add(b.build());
+  SimConfig cfg = global_config(10.0);
+  cfg.policy = SchedulingPolicy::kPartitioned;
+  cfg.partition = TaskSetPartition{{NodeAssignment{{0}}}};
+  const SimResult r = simulate(ts, cfg);
+  ASSERT_EQ(r.jobs.size(), 1u);
+  EXPECT_TRUE(r.jobs[0].completed);
+  EXPECT_DOUBLE_EQ(r.jobs[0].response, 3.0);
+  EXPECT_EQ(r, simulate(ts, global_config(10.0)));
+}
+
 TEST(SimTest, WorkStealingRescuesBadPartition) {
   // All nodes on the fork's thread deadlocks under strict per-thread FIFO
   // (see PartitionedQueueBehindSuspendedThreadDelays); with work stealing
@@ -510,6 +537,167 @@ TEST(SimTest, BacklogPreservesReleaseTimes) {
   EXPECT_NEAR(r.jobs[0].response, 7.0, 1e-9);
   EXPECT_NEAR(r.jobs[1].response, 9.0, 1e-9);  // released 5, done 14
   EXPECT_TRUE(r.jobs[1].deadline_miss);
+}
+
+/// FNV-1a over every field of a SimResult; doubles enter by bit pattern,
+/// integers byte by byte from the low end (independent of host endianness).
+class ResultDigest {
+ public:
+  void u64(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (v >> (8 * byte)) & 0xffu;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void f64(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    u64(bits);
+  }
+  void str(const std::string& s) {
+    u64(s.size());
+    for (const char c : s) u64(static_cast<unsigned char>(c));
+  }
+  void result(const SimResult& r) {
+    u64(r.jobs.size());
+    for (const JobRecord& j : r.jobs) {
+      u64(j.task_index);
+      u64(j.job_number);
+      f64(j.release);
+      f64(j.completion);
+      f64(j.response);
+      u64(j.completed);
+      u64(j.deadline_miss);
+    }
+    u64(r.per_task.size());
+    for (const TaskStats& s : r.per_task) {
+      u64(s.jobs_released);
+      u64(s.jobs_completed);
+      u64(s.deadline_misses);
+      f64(s.max_response);
+      u64(static_cast<std::uint64_t>(s.min_available_concurrency));
+    }
+    u64(r.deadlock.has_value());
+    if (r.deadlock.has_value()) {
+      u64(r.deadlock->task_index);
+      f64(r.deadlock->time);
+      str(r.deadlock->description);
+    }
+    u64(r.trace.size());
+    for (const ExecutionInterval& e : r.trace) {
+      u64(e.core);
+      u64(e.task_index);
+      u64(e.node);
+      f64(e.start);
+      f64(e.end);
+    }
+    u64(r.any_deadline_miss);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+TEST(SimGoldenTest, CorpusDigestsBitIdentical) {
+  // Pins the simulator's complete output over the first 40 seeded
+  // corpus_default() sets at m = 4 with at most 30000 node jobs in a
+  // two-window horizon (the cap keeps the test fast), one digest per
+  // configuration arm. The digests were recorded from the engine before
+  // its per-instant rework (cached priority order, busy counters, queue
+  // rings, single-pass global pull); any change to the dispatch order, the
+  // core placement, the time arithmetic or the deadlock witness text
+  // changes a digest.
+  const gen::ScenarioSpace space = gen::ScenarioSpace::corpus_default();
+  constexpr std::size_t kCores = 4;
+  constexpr double kWindows = 2.0;
+  constexpr double kMaxNodeJobs = 30000.0;
+
+  enum Arm { kGlobal, kGlobalStop, kAlg1, kWorstFitSteal, kJitter, kTrace, kArms };
+  const char* names[kArms] = {"global", "global stop_on_miss", "algorithm1",
+                              "worst-fit + stealing", "jitter", "trace"};
+  ResultDigest digests[kArms];
+  std::size_t runs[kArms] = {};
+  std::size_t stalls[kArms] = {};  // Runs that detected a deadlock.
+  std::size_t missed[kArms] = {};  // Runs with a deadline miss.
+
+  std::size_t sets = 0;
+  for (std::uint64_t seed = 0; sets < 40; ++seed) {
+    util::Rng rng(seed);
+    std::optional<TaskSet> ts;
+    try {
+      ts.emplace(space.pick(seed).make(kCores, rng));
+    } catch (const gen::GenerationError&) {
+      continue;
+    }
+    double max_period = 0.0;
+    for (const DagTask& task : ts->tasks())
+      max_period = std::max(max_period, task.period());
+    double node_jobs = 0.0;
+    for (const DagTask& task : ts->tasks())
+      node_jobs += std::ceil(kWindows * max_period / task.period()) *
+                   static_cast<double>(task.node_count());
+    if (node_jobs > kMaxNodeJobs) continue;
+    ++sets;
+    const SimConfig base = global_config(kWindows * max_period);
+    const auto record = [&](Arm arm, const SimConfig& cfg) {
+      const SimResult r = simulate(*ts, cfg);
+      digests[arm].u64(seed);
+      digests[arm].result(r);
+      ++runs[arm];
+      stalls[arm] += r.deadlock.has_value();
+      missed[arm] += r.any_deadline_miss;
+    };
+
+    record(kGlobal, base);
+
+    SimConfig stop = base;
+    stop.stop_on_miss = true;
+    record(kGlobalStop, stop);
+
+    const analysis::PartitionResult alg1 = analysis::partition_algorithm1(*ts);
+    SimConfig part = base;
+    part.policy = SchedulingPolicy::kPartitioned;
+    if (alg1.success()) {
+      part.partition = alg1.partition;
+      record(kAlg1, part);
+    }
+
+    const analysis::PartitionResult wf = analysis::partition_worst_fit(*ts);
+    if (wf.success()) {
+      SimConfig steal = part;
+      steal.partition = wf.partition;
+      steal.work_stealing = true;
+      record(kWorstFitSteal, steal);
+    }
+
+    SimConfig jitter = stop;
+    jitter.release_jitter_frac = 0.3;
+    jitter.seed = seed + 1;
+    record(kJitter, jitter);
+
+    SimConfig trace = base;
+    trace.collect_trace = true;
+    record(kTrace, trace);
+    if (alg1.success()) {
+      part.collect_trace = true;
+      record(kTrace, part);
+    }
+  }
+
+  const std::uint64_t expected_digests[kArms] = {
+      0xd1a09cf9a26c61d0ull, 0xda1709b69ffbbcd0ull, 0xa30ce364927bd06cull,
+      0xe11f4f7b2a7ed3c7ull, 0xa0966c0858d4e2cdull, 0x24eec933e62a9676ull};
+  const std::size_t expected_runs[kArms] = {40, 40, 29, 40, 40, 69};
+  const std::size_t expected_stalls[kArms] = {9, 9, 0, 9, 9, 9};
+  const std::size_t expected_missed[kArms] = {14, 14, 8, 22, 14, 22};
+  for (int arm = 0; arm < kArms; ++arm) {
+    EXPECT_EQ(runs[arm], expected_runs[arm]) << names[arm];
+    EXPECT_EQ(stalls[arm], expected_stalls[arm]) << names[arm];
+    EXPECT_EQ(missed[arm], expected_missed[arm]) << names[arm];
+    EXPECT_EQ(digests[arm].value(), expected_digests[arm])
+        << names[arm] << ": 0x" << std::hex << digests[arm].value();
+  }
 }
 
 }  // namespace
