@@ -2,11 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <sstream>
 
 #include "analysis/concurrency.h"
 #include "gen/nfj_generator.h"
+#include "gen/scenario_space.h"
 #include "gen/taskset_generator.h"
+#include "model/io.h"
 
 namespace rtpool::gen {
 namespace {
@@ -219,6 +223,105 @@ TEST_P(GeneratorPropertyTest, WindowPinsLowerBound) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneratorPropertyTest,
                          ::testing::Range<std::uint64_t>(1, 21));
+
+
+/// FNV-1a over everything a generated set is made of: its canonical text,
+/// the order in which every node lists its successors and predecessors
+/// (Kahn's order, the region flood, the simulator's release order and every
+/// report follow it, yet write_task_set sorts edges and cannot see it), and
+/// the two b̄-style bounds the generator and the analyses derive.
+class SetDigest {
+ public:
+  void u64(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (v >> (8 * byte)) & 0xffu;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void task_set(const model::TaskSet& ts) {
+    std::ostringstream text;
+    model::write_task_set(text, ts);
+    u64(text.str().size());
+    for (const char c : text.str()) u64(static_cast<unsigned char>(c));
+    for (const model::DagTask& t : ts.tasks()) {
+      for (model::NodeId v = 0; v < t.node_count(); ++v) {
+        u64(t.dag().out_degree(v));
+        for (const model::NodeId w : t.dag().successors(v)) u64(w);
+        u64(t.dag().in_degree(v));
+        for (const model::NodeId u : t.dag().predecessors(v)) u64(u);
+      }
+      u64(analysis::max_affecting_forks(t));
+      u64(t.max_suspension_antichain());
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+TEST(GenGoldenTest, GeneratedSetsBitIdentical) {
+  // Pins every generated set of the four canonical Figure-2 points (the
+  // perf_sweep / perfbench sweep configurations: m = 8, n = 6, 3-5
+  // branches; l_max = 4 at U = 0.45m and 0.175m, and free typing at
+  // U = 0.3m) and of the corpus_default() scenario mix at m = 4. A changed
+  // digest means the generator draws different sets or lays out their
+  // adjacency differently; only update it for an intended change.
+  constexpr std::uint64_t kSeeds = 150;
+  TaskSetParams lmax;
+  lmax.cores = 8;
+  lmax.task_count = 6;
+  lmax.nfj.min_branches = 3;
+  lmax.nfj.max_branches = 5;
+  lmax.blocking_window = BlockingWindow{4, 4};
+  TaskSetParams m8 = lmax;
+  m8.blocking_window.reset();
+  m8.total_utilization = 0.3 * 8.0;
+  TaskSetParams configs[4] = {lmax, lmax, m8, m8};
+  configs[0].total_utilization = 0.45 * 8.0;
+  configs[1].total_utilization = 0.175 * 8.0;
+  const std::uint64_t salts[4] = {1000003, 2000003, 3000017, 4000037};
+
+  SetDigest fig2[4];
+  std::size_t fig2_failed[4] = {};
+  for (int c = 0; c < 4; ++c) {
+    const util::Rng root(salts[c]);
+    for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+      util::Rng rng = root.fork_with(seed);
+      try {
+        fig2[c].task_set(generate_task_set(configs[c], rng));
+      } catch (const GenerationError&) {
+        ++fig2_failed[c];
+        fig2[c].u64(seed);
+      }
+    }
+  }
+
+  const ScenarioSpace space = ScenarioSpace::corpus_default();
+  SetDigest corpus;
+  std::size_t corpus_failed = 0;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    util::Rng rng(seed);
+    try {
+      corpus.task_set(space.pick(seed).make(4, rng));
+    } catch (const GenerationError&) {
+      ++corpus_failed;
+      corpus.u64(seed);
+    }
+  }
+
+  const std::uint64_t expected_fig2[4] = {
+      0x3ee9b0e2affe9232ull, 0xa26b8847769397fdull, 0x84fdcb57188b102dull,
+      0xe68d7bbfbdd29d43ull};
+  const std::size_t expected_fig2_failed[4] = {0, 0, 0, 0};
+  for (int c = 0; c < 4; ++c) {
+    EXPECT_EQ(fig2_failed[c], expected_fig2_failed[c]) << "config " << c;
+    EXPECT_EQ(fig2[c].value(), expected_fig2[c])
+        << "config " << c << ": 0x" << std::hex << fig2[c].value();
+  }
+  EXPECT_EQ(corpus_failed, 0u);
+  EXPECT_EQ(corpus.value(), 0x18acdee23d0f80e2ull) << "corpus: 0x" << std::hex << corpus.value();
+}
 
 }  // namespace
 }  // namespace rtpool::gen
