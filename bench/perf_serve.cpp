@@ -156,7 +156,8 @@ Doc make_doc(const model::TaskSet& ts, const analysis::Analyzer& analyzer,
   std::ostringstream req;
   util::JsonWriter w(req);
   w.begin_object();
-  w.kv("id", "d" + std::to_string(doc_index));
+  // append, not operator+: GCC 12 at -O3 warns -Wrestrict on "d" + string.
+  w.kv("id", std::string("d").append(std::to_string(doc_index)));
   w.kv("taskset", doc.text);
   w.end_object();
   doc.request_body = req.str();

@@ -416,8 +416,10 @@ const Analyzer& get_analyzer(std::string_view name) {
   if (const Analyzer* a = find_analyzer(name)) return *a;
   std::string message = "unknown analyzer '" + std::string(name) +
                         "'; registered analyzers:";
-  for (const Analyzer* a : registered_analyzers())
-    message += " " + std::string(a->name());
+  for (const Analyzer* a : registered_analyzers()) {
+    message += ' ';
+    message += a->name();
+  }
   throw std::invalid_argument(message);
 }
 

@@ -79,24 +79,22 @@ class GraphBuilder {
 
   GeneratedGraph run() {
     GeneratedGraph out;
-    dag_ = &out.dag;
     nodes_ = &out.nodes;
     spans_ = &out.fork_joins;
 
     // Growth hint: typical expansions stay well under this; worst cases
     // just fall back to vector growth.
-    out.dag.reserve(64);
     out.nodes.reserve(64);
+    edges_.reserve(64);
 
     const NodeId src = terminal(NodeType::NB);
     // Force the outermost expansion so tasks are actually parallel.
     const auto [entry, exit] = block(/*depth=*/1, /*inside_blocking=*/false,
                                      /*force_parallel=*/true);
     const NodeId snk = terminal(NodeType::NB);
-    // Every edge the builder adds has a freshly created endpoint, so the
-    // checked insert's duplicate scan can never fire — skip it.
-    out.dag.add_edge_unchecked(src, entry);
-    out.dag.add_edge_unchecked(exit, snk);
+    edges_.push_back({src, entry});
+    edges_.push_back({exit, snk});
+    out.dag = graph::Dag(out.nodes.size(), edges_);
     return out;
   }
 
@@ -108,7 +106,7 @@ class GraphBuilder {
   };
 
   NodeId terminal(NodeType type) {
-    const NodeId id = dag_->add_node();
+    const auto id = static_cast<NodeId>(nodes_->size());
     nodes_->push_back(Node{draw_wcet(params_.wcet_dist, params_.wcet_min,
                                      params_.wcet_max, rng_),
                            type});
@@ -152,7 +150,7 @@ class GraphBuilder {
       Span chain = block(depth + 1, inner_blocking, false);
       for (int s = 1; s < series; ++s) {
         const Span next = block(depth + 1, inner_blocking, false);
-        dag_->add_edge_unchecked(chain.exit, next.entry);
+        edges_.push_back({chain.exit, next.entry});
         chain.exit = next.exit;
       }
       spans.push_back(chain);
@@ -160,8 +158,8 @@ class GraphBuilder {
 
     const NodeId join = terminal(delim_join);
     for (const Span& s : spans) {
-      dag_->add_edge_unchecked(fork, s.entry);
-      dag_->add_edge_unchecked(s.exit, join);
+      edges_.push_back({fork, s.entry});
+      edges_.push_back({s.exit, join});
     }
     spans_->push_back(ForkJoinSpan{fork, join, depth});
     return {fork, join};
@@ -169,8 +167,8 @@ class GraphBuilder {
 
   const NfjParams& params_;
   util::Rng& rng_;
-  graph::Dag* dag_ = nullptr;
   std::vector<Node>* nodes_ = nullptr;
+  std::vector<graph::Edge> edges_;  ///< In insertion order; built once by run().
   std::vector<ForkJoinSpan>* spans_ = nullptr;
 };
 

@@ -353,13 +353,14 @@ bool has_error_for(const LintReport& report, const std::string& task) {
 /// Promote a structurally clean raw task to a validated DagTask.
 std::optional<model::DagTask> promote(const RawTask& task, LintReport& report) {
   try {
-    graph::Dag dag(task.nodes.size());
+    std::vector<graph::Edge> edges;
     std::set<std::pair<std::size_t, std::size_t>> seen;
     for (const RawEdge& e : task.edges) {
       if (e.from == e.to || !seen.insert({e.from, e.to}).second) continue;
-      dag.add_edge(static_cast<graph::NodeId>(e.from),
-                   static_cast<graph::NodeId>(e.to));
+      edges.push_back({static_cast<graph::NodeId>(e.from),
+                       static_cast<graph::NodeId>(e.to)});
     }
+    graph::Dag dag(task.nodes.size(), edges);
     return model::DagTask(task.name, std::move(dag), task.nodes, task.period,
                           task.deadline, task.priority);
   } catch (const std::exception& e) {

@@ -3,13 +3,12 @@
 namespace rtpool::model {
 
 NodeId DagTaskBuilder::add_node(util::Time wcet, NodeType type) {
-  const NodeId id = dag_.add_node();
   nodes_.push_back(Node{wcet, type});
-  return id;
+  return static_cast<NodeId>(nodes_.size() - 1);
 }
 
 DagTaskBuilder& DagTaskBuilder::add_edge(NodeId from, NodeId to) {
-  dag_.add_edge(from, to);
+  edges_.push_back({from, to});
   return *this;
 }
 
@@ -68,22 +67,26 @@ DagTaskBuilder& DagTaskBuilder::normalize_source_sink(bool enabled) {
 }
 
 DagTask DagTaskBuilder::build() const {
-  graph::Dag dag = dag_;
   std::vector<Node> nodes = nodes_;
+  graph::Dag dag(nodes.size(), edges_);
 
   if (normalize_) {
     const auto sources = dag.sources();
-    if (sources.size() > 1) {
-      const NodeId dummy = dag.add_node();
-      nodes.push_back(Node{0.0, NodeType::NB});
-      for (NodeId s : sources) dag.add_edge(dummy, s);
-    }
     const auto sinks = dag.sinks();
-    // Note: the dummy source (out-edges only) can never appear in sinks.
-    if (sinks.size() > 1) {
-      const NodeId dummy = dag.add_node();
-      nodes.push_back(Node{0.0, NodeType::NB});
-      for (NodeId s : sinks) dag.add_edge(s, dummy);
+    if (sources.size() > 1 || sinks.size() > 1) {
+      std::vector<graph::Edge> edges = edges_;
+      // Note: the dummy source (out-edges only) can never be a sink.
+      if (sources.size() > 1) {
+        const auto dummy = static_cast<NodeId>(nodes.size());
+        nodes.push_back(Node{0.0, NodeType::NB});
+        for (NodeId s : sources) edges.push_back({dummy, s});
+      }
+      if (sinks.size() > 1) {
+        const auto dummy = static_cast<NodeId>(nodes.size());
+        nodes.push_back(Node{0.0, NodeType::NB});
+        for (NodeId s : sinks) edges.push_back({s, dummy});
+      }
+      dag = graph::Dag(nodes.size(), edges);
     }
   }
 

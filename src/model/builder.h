@@ -20,7 +20,8 @@ class DagTaskBuilder {
   /// Add a node; returns its id.
   NodeId add_node(util::Time wcet, NodeType type = NodeType::NB);
 
-  /// Add a precedence edge.
+  /// Add a precedence edge. Edges are checked (ids in range, no self-loop,
+  /// no repeat) when build() assembles the graph.
   DagTaskBuilder& add_edge(NodeId from, NodeId to);
 
   /// Ids created by a fork-join helper.
@@ -60,8 +61,8 @@ class DagTaskBuilder {
 
  private:
   std::string name_;
-  graph::Dag dag_;
   std::vector<Node> nodes_;
+  std::vector<graph::Edge> edges_;
   util::Time period_ = 0.0;
   util::Time deadline_ = -1.0;  // -1 = "use period"
   int priority_ = 0;

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -55,6 +56,16 @@ long to_long(const std::string& s, int lineno) {
   }
 }
 
+/// to_long narrowed to [lo, hi]: a value outside is an error, not a wrap.
+long to_long_in(const std::string& key, const std::string& s, long lo, long hi,
+                int lineno) {
+  const long v = to_long(s, lineno);
+  if (v < lo || v > hi)
+    throw ParseError("line " + std::to_string(lineno) + ": " + key + " out of range '" +
+                     s + "'");
+  return v;
+}
+
 }  // namespace
 
 void write_task_set(std::ostream& os, const TaskSet& ts) {
@@ -91,8 +102,9 @@ TaskSet read_task_set(std::istream& is) {
   double deadline = 0.0;
   int priority = 0;
   std::size_t declared_nodes = 0;
-  graph::Dag dag;
   std::vector<Node> nodes;
+  std::vector<graph::Edge> edges;
+  std::vector<int> edge_lines;  // Source line of each edge, for errors.
 
   std::string raw;
   int lineno = 0;
@@ -120,10 +132,15 @@ TaskSet read_task_set(std::istream& is) {
       task_name = require(kv, "name", lineno);
       period = to_double(require(kv, "period", lineno), lineno);
       deadline = to_double(require(kv, "deadline", lineno), lineno);
-      priority = static_cast<int>(to_long(require(kv, "priority", lineno), lineno));
-      declared_nodes = static_cast<std::size_t>(to_long(require(kv, "nodes", lineno), lineno));
-      dag = graph::Dag();
+      priority = static_cast<int>(to_long_in("priority", require(kv, "priority", lineno),
+                                             std::numeric_limits<int>::min(),
+                                             std::numeric_limits<int>::max(), lineno));
+      declared_nodes = static_cast<std::size_t>(
+          to_long_in("nodes", require(kv, "nodes", lineno), 0,
+                     std::numeric_limits<graph::NodeId>::max(), lineno));
       nodes.clear();
+      edges.clear();
+      edge_lines.clear();
       in_task = true;
     } else if (keyword == "node") {
       if (!in_task)
@@ -142,7 +159,6 @@ TaskSet read_task_set(std::istream& is) {
       } catch (const std::invalid_argument& e) {
         throw ParseError("line " + std::to_string(lineno) + ": " + e.what());
       }
-      dag.add_node();
       nodes.push_back(n);
     } else if (keyword == "edge") {
       if (!in_task)
@@ -154,12 +170,8 @@ TaskSet read_task_set(std::istream& is) {
       if (from < 0 || to < 0 || static_cast<std::size_t>(from) >= nodes.size() ||
           static_cast<std::size_t>(to) >= nodes.size())
         throw ParseError("line " + std::to_string(lineno) + ": edge id out of range");
-      try {
-        dag.add_edge(static_cast<graph::NodeId>(from), static_cast<graph::NodeId>(to));
-      } catch (const std::invalid_argument& e) {
-        // Self-loops / duplicate edges are structural input errors.
-        throw ParseError("line " + std::to_string(lineno) + ": " + e.what());
-      }
+      edges.push_back({static_cast<graph::NodeId>(from), static_cast<graph::NodeId>(to)});
+      edge_lines.push_back(lineno);
     } else if (keyword == "endtask") {
       if (!in_task)
         throw ParseError("line " + std::to_string(lineno) + ": stray 'endtask'");
@@ -167,6 +179,14 @@ TaskSet read_task_set(std::istream& is) {
         throw ParseError("line " + std::to_string(lineno) + ": task '" + task_name +
                          "' declared " + std::to_string(declared_nodes) +
                          " nodes but has " + std::to_string(nodes.size()));
+      graph::Dag dag;
+      try {
+        dag = graph::Dag(nodes.size(), edges);
+      } catch (const graph::EdgeError& e) {
+        // Self-loops / duplicate edges are structural input errors.
+        throw ParseError("line " + std::to_string(edge_lines[e.index]) + ": " +
+                         e.what());
+      }
       ts->add(DagTask(task_name, std::move(dag), std::move(nodes), period, deadline,
                       priority));
       in_task = false;

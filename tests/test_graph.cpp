@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <span>
+#include <vector>
 
 #include "graph/algorithms.h"
 #include "graph/dag.h"
@@ -43,6 +45,82 @@ TEST(DagTest, RejectsSelfLoopDuplicateAndBadIds) {
   EXPECT_THROW(d.add_edge(0, 1), std::invalid_argument);
   EXPECT_THROW(d.add_edge(0, 5), std::invalid_argument);
   EXPECT_THROW(d.successors(9), std::invalid_argument);
+}
+
+TEST(DagTest, BulkBuildMatchesIncrementalOrder) {
+  // Random graph with edges inserted in shuffled order: both builds must
+  // list every node's successors and predecessors in insertion order.
+  util::Rng rng(11);
+  constexpr std::size_t kNodes = 40;
+  std::vector<Edge> edges;
+  for (NodeId u = 0; u < kNodes; ++u)
+    for (NodeId v = u + 1; v < kNodes; ++v)
+      if (rng.bernoulli(0.2)) edges.push_back({u, v});
+  rng.shuffle(edges);
+
+  Dag incremental(kNodes);
+  for (const Edge& e : edges) incremental.add_edge(e.from, e.to);
+  const Dag bulk(kNodes, edges);
+  ASSERT_EQ(bulk.size(), kNodes);
+  ASSERT_EQ(bulk.edge_count(), edges.size());
+  for (NodeId v = 0; v < kNodes; ++v) {
+    std::vector<NodeId> succ_in_order;
+    std::vector<NodeId> pred_in_order;
+    for (const Edge& e : edges) {
+      if (e.from == v) succ_in_order.push_back(e.to);
+      if (e.to == v) pred_in_order.push_back(e.from);
+    }
+    const auto as_vector = [](std::span<const NodeId> s) {
+      return std::vector<NodeId>(s.begin(), s.end());
+    };
+    EXPECT_EQ(as_vector(bulk.successors(v)), succ_in_order) << v;
+    EXPECT_EQ(as_vector(bulk.predecessors(v)), pred_in_order) << v;
+    EXPECT_EQ(as_vector(incremental.successors(v)), succ_in_order) << v;
+    EXPECT_EQ(as_vector(incremental.predecessors(v)), pred_in_order) << v;
+  }
+  EXPECT_EQ(bulk.edges(), incremental.edges());
+}
+
+TEST(DagTest, BulkBuildRejectsTheEdgeAddEdgeWould) {
+  const auto rejected = [](std::size_t nodes, std::vector<Edge> edges) {
+    try {
+      const Dag d(nodes, edges);
+    } catch (const EdgeError& e) {
+      return e.index;
+    }
+    return edges.size();
+  };
+  EXPECT_EQ(rejected(3, {{0, 1}, {1, 1}, {1, 2}}), 1u);          // self-loop
+  EXPECT_EQ(rejected(3, {{0, 1}, {1, 2}, {0, 2}, {0, 1}}), 3u);  // repeat
+  EXPECT_EQ(rejected(3, {{0, 1}, {2, 3}}), 1u);                  // id out of range
+  EXPECT_EQ(rejected(0, {{0, 0}}), 0u);
+  // The first offender in input order wins, whatever its kind.
+  EXPECT_EQ(rejected(3, {{0, 1}, {0, 1}, {2, 2}}), 1u);
+  EXPECT_EQ(rejected(3, {{0, 1}, {2, 2}, {0, 1}}), 1u);
+  EXPECT_EQ(rejected(3, {{1, 2}, {0, 1}, {0, 2}, {1, 2}, {0, 1}}), 3u);
+  EXPECT_THROW(Dag(2, std::vector<Edge>{{0, 1}, {0, 1}}), std::invalid_argument);
+  EXPECT_EQ(rejected(3, {{0, 1}, {1, 2}, {0, 2}}), 3u);  // accepted
+
+  const Dag empty(5, std::vector<Edge>{});
+  EXPECT_EQ(empty.size(), 5u);
+  EXPECT_EQ(empty.edge_count(), 0u);
+  EXPECT_EQ(empty.sources().size(), 5u);
+  EXPECT_THROW(empty.successors(5), std::invalid_argument);
+  EXPECT_THROW(empty.predecessors(5), std::invalid_argument);
+}
+
+TEST(DagTest, AddNodeAfterBulkBuildKeepsAdjacency) {
+  Dag d(3, std::vector<Edge>{{0, 2}, {0, 1}});
+  const NodeId extra = d.add_node();
+  d.add_edge(extra, 0);
+  d.add_edge(1, extra);
+  EXPECT_EQ(d.size(), 4u);
+  EXPECT_EQ(std::vector<NodeId>(d.successors(0).begin(), d.successors(0).end()),
+            (std::vector<NodeId>{2, 1}));
+  EXPECT_EQ(std::vector<NodeId>(d.predecessors(0).begin(), d.predecessors(0).end()),
+            (std::vector<NodeId>{3}));
+  EXPECT_TRUE(d.has_edge(1, 3));
+  EXPECT_FALSE(d.is_acyclic());
 }
 
 TEST(DagTest, SourcesAndSinks) {

@@ -155,6 +155,17 @@ TEST(DagTaskTest, RejectsNestedBlockingRegions) {
   EXPECT_THROW(b.build(), ModelError);
 }
 
+TEST(DagTaskTest, BuilderChecksEdgesAtBuild) {
+  // Edges are collected and checked once, when build() assembles the graph.
+  for (const graph::Edge bad : {graph::Edge{0, 1}, graph::Edge{1, 1}, graph::Edge{1, 7}}) {
+    DagTaskBuilder b("edges");
+    const NodeId s = b.add_node(1);
+    const NodeId t = b.add_node(1);
+    b.add_edge(s, t).add_edge(bad.from, bad.to).period(10);
+    EXPECT_THROW(b.build(), std::invalid_argument) << bad.from << "->" << bad.to;
+  }
+}
+
 TEST(DagTaskTest, RejectsNbInsideRegion) {
   graph::Dag d(3);
   d.add_edge(0, 1);

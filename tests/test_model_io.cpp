@@ -122,7 +122,56 @@ INSTANTIATE_TEST_SUITE_P(
                  "taskset cores=1\ntask name=a period=1 priority=0 nodes=1\n"},
         BadInput{"unterminated_task",
                  "taskset cores=1\ntask name=a period=1 deadline=1 priority=0 "
-                 "nodes=1\nnode 0 wcet=1 type=NB\n"}));
+                 "nodes=1\nnode 0 wcet=1 type=NB\n"},
+        BadInput{"priority_out_of_range",
+                 "taskset cores=1\ntask name=a period=1 deadline=1 "
+                 "priority=4294967296 nodes=1\nnode 0 wcet=1 type=NB\nendtask\n"},
+        BadInput{"nodes_out_of_range",
+                 "taskset cores=1\ntask name=a period=1 deadline=1 priority=0 "
+                 "nodes=-1\nendtask\n"},
+        BadInput{"self_loop",
+                 "taskset cores=1\ntask name=a period=1 deadline=1 priority=0 "
+                 "nodes=2\nnode 0 wcet=1 type=NB\nnode 1 wcet=1 type=NB\n"
+                 "edge 0 1\nedge 1 1\nendtask\n"},
+        BadInput{"duplicate_edge",
+                 "taskset cores=1\ntask name=a period=1 deadline=1 priority=0 "
+                 "nodes=2\nnode 0 wcet=1 type=NB\nnode 1 wcet=1 type=NB\n"
+                 "edge 0 1\nedge 0 1\nendtask\n"}));
+
+TEST(IoTest, EdgeErrorsNameTheEdgeLine) {
+  // The graph is built once at endtask; its errors still cite the line of
+  // the offending edge.
+  const auto message = [](const char* text) {
+    std::stringstream ss(text);
+    try {
+      (void)read_task_set(ss);
+    } catch (const ParseError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const char* header =
+      "taskset cores=1\ntask name=a period=1 deadline=1 priority=0 nodes=3\n"
+      "node 0 wcet=1 type=NB\nnode 1 wcet=1 type=NB\nnode 2 wcet=1 type=NB\n";
+  EXPECT_EQ(message((std::string(header) + "edge 0 1\nedge 1 2\nedge 0 1\nendtask\n")
+                        .c_str()),
+            "line 8: Dag: duplicate edge rejected");
+  EXPECT_EQ(message((std::string(header) + "edge 0 1\nedge 2 2\nendtask\n").c_str()),
+            "line 7: Dag: self-loop rejected");
+  EXPECT_EQ(message("taskset cores=1\ntask name=a period=1 deadline=1 "
+                    "priority=-2147483649 nodes=0\nendtask\n"),
+            "line 2: priority out of range '-2147483649'");
+}
+
+TEST(IoTest, PriorityExtremesRoundTrip) {
+  for (const char* prio : {"-2147483648", "2147483647"}) {
+    std::stringstream ss(std::string("taskset cores=1\ntask name=a period=1 deadline=1 "
+                                     "priority=") +
+                         prio + " nodes=1\nnode 0 wcet=1 type=NB\nendtask\n");
+    const TaskSet ts = read_task_set(ss);
+    EXPECT_EQ(std::to_string(ts.tasks().front().priority()), prio);
+  }
+}
 
 // ---------- shipped sample files ----------
 

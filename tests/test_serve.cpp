@@ -342,13 +342,15 @@ TEST(AdmissionServiceTest, ReloadUnderLoadDropsNothing) {
     }
   };
 
+  // Ids use append, not operator+: GCC 12 at -O3 warns -Wrestrict on
+  // "r" + string.
   std::vector<std::thread> submitters;
   for (int t = 0; t < 3; ++t) {
     submitters.emplace_back([&, t] {
       for (int i = t; i < kRequests; i += 3)
         service.submit(
             submit_request(texts[static_cast<std::size_t>(i) % texts.size()],
-                           "r" + std::to_string(i)),
+                           std::string("r").append(std::to_string(i))),
             on_response);
     });
   }
@@ -425,7 +427,7 @@ TEST(AdmissionServiceTest, ShardReplacingReloadStormDropsNothing) {
       for (int i = t; i < kRequests; i += 4)
         service.submit(
             submit_request(texts[static_cast<std::size_t>(i) % texts.size()],
-                           "s" + std::to_string(i)),
+                           std::string("s").append(std::to_string(i))),
             on_response);
     });
   }
