@@ -50,10 +50,12 @@ DagTask two_region_task() {
 }
 
 TEST(ThreadPoolTest, ExecutesSubmittedClosures) {
-  ThreadPool pool(4);
+  // Declared before the pool, whose destructor joins the workers, so the
+  // last closure never touches them after they are gone.
   std::atomic<int> count{0};
   std::mutex mu;
   std::condition_variable cv;
+  ThreadPool pool(4);
   for (int i = 0; i < 100; ++i)
     pool.submit([&] {
       if (count.fetch_add(1) + 1 == 100) {
@@ -61,9 +63,16 @@ TEST(ThreadPoolTest, ExecutesSubmittedClosures) {
         cv.notify_all();
       }
     });
-  std::unique_lock lock(mu);
-  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
-                          [&] { return count.load() == 100; }));
+  {
+    std::unique_lock lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                            [&] { return count.load() == 100; }));
+  }
+  // executed() counts a closure once it has returned; the last one may
+  // still be returning (it needs `mu`, just released).
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (pool.executed() < 100u && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
   EXPECT_GE(pool.executed(), 100u);
 }
 
@@ -393,10 +402,11 @@ TEST(ThreadPoolTest, ChurnStress) {
 
   // One controlled round: waiting for the work guarantees execution.
   {
-    ThreadPool pool(2);
+    // Declared before the pool, which joins its workers first.
     std::mutex mu;
     std::condition_variable cv;
     std::atomic<int> done{0};
+    ThreadPool pool(2);
     for (int i = 0; i < 50; ++i)
       pool.submit([&] {
         if (done.fetch_add(1) + 1 == 50) {
